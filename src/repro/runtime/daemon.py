@@ -57,7 +57,7 @@ class TyCOd:
     def pump(self) -> int:
         """Move every packet currently waiting in site outgoing queues."""
         moved = 0
-        for site in list(self.node.sites.values()):
+        for site in self.node.pool():
             while site.outgoing:
                 packet = site.outgoing.popleft()
                 self._route(packet)
@@ -103,7 +103,7 @@ class TyCOd:
                     "runqueue": len(site.vm.runqueue),
                     "mailbox": len(site.incoming) + len(site.outgoing),
                 }
-                for site in self.node.sites.values()}
+                for site in self.node.pool()}
 
     def receive(self, data: bytes) -> None:
         """A buffer arrived from a remote TyCOd."""
@@ -168,14 +168,23 @@ class TyCOi:
 
     def reap(self) -> int:
         """Destroy sites whose programs have exited (idle, no queues,
-        nothing parked); returns how many were reaped."""
-        dead = [sid for sid, site in self.node.sites.items()
+        nothing parked); returns how many were reaped.
+
+        Afterwards the node holds no reference to a reaped site, so
+        its VM, heap, program and compiled blocks are freed.  Its
+        SiteTable row stays: names are never reused."""
+        node = self.node
+        dead = [site for site in node.pool()
                 if site.is_idle() and not site.vm.has_stalled()
                 and not site._pending_fetch and not site._pending_code
                 and site.vm.heap.live_queues() == 0]
-        for sid in dead:
+        for site in dead:
             # Retire the site's name-service registrations first so no
             # IdTable row dangles after the site object is gone.
-            self.node.sites[sid].retire_exports()
-            del self.node.sites[sid]
+            site.retire_exports()
+            del node.sites[site.site_id]
+            # The name entry goes only while it names this object,
+            # never another incarnation bound to the same name.
+            if node.sites_by_name.get(site.site_name) is site:
+                del node.sites_by_name[site.site_name]
         return len(dead)

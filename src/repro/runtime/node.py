@@ -62,6 +62,7 @@ class Node:
         self.nameservice = nameservice
         self.sites: dict[int, Site] = {}
         self.sites_by_name: dict[str, Site] = {}
+        self._ns_subscribed = False
         self.tycod = TyCOd(self, local_fast_path=local_fast_path)
         self.tycoi = TyCOi(self)
         self.fetch_cache = fetch_cache
@@ -164,7 +165,7 @@ class Node:
         """Connect the node (and every site, existing and future) to
         the world's :class:`~repro.obs.bus.EventBus`."""
         self.obs = bus
-        for site in self.sites.values():
+        for site in self.pool():
             site.attach_obs(bus)
 
     def set_trace(self, hook: Optional[Callable]) -> None:
@@ -172,7 +173,7 @@ class Node:
         forwarded to every site.  Superseded by :meth:`attach_obs` --
         the hook is only consulted when no bus is attached."""
         self._trace_hook = hook
-        for site in self.sites.values():
+        for site in self.pool():
             site.trace = hook
 
     def trace(self, kind: str, src: str = "", dst: str = "",
@@ -186,6 +187,16 @@ class Node:
             self._trace_hook(kind, src, dst, size, note)
 
     # -- site pool ----------------------------------------------------------------
+
+    def pool(self) -> list[Site]:
+        """A snapshot of the site pool, in insertion order.
+
+        On wall-clock worlds other threads change ``sites`` while the
+        node thread iterates it (``TyCOi.submit`` from the injecting
+        thread, migration cutovers), and a live dict view would raise
+        "dictionary changed size during iteration".  ``list()`` copies
+        the dict in one C call, which the GIL keeps atomic."""
+        return list(self.sites.values())
 
     def create_site(self, site_name: str, program: Program,
                     name_signatures: Optional[dict] = None) -> Site:
@@ -206,7 +217,7 @@ class Node:
             site.attach_obs(self.obs)
         if self.profiler is not None:
             self.profiler.install(site.vm)
-        self.nameservice.subscribe(self._on_ns_update)
+        self._subscribe_nameservice()
         site.boot()
         self.on_work_available()
         return site
@@ -241,12 +252,23 @@ class Node:
             site.attach_obs(self.obs)
         if self.profiler is not None:
             self.profiler.install(site.vm)
-        self.nameservice.subscribe(self._on_ns_update)
+        self._subscribe_nameservice()
         self.on_work_available()
         return site
 
+    def _subscribe_nameservice(self) -> None:
+        """Subscribe :meth:`_on_ns_update` once, on the node's first
+        site: one call per write already wakes every site of the pool,
+        and the wakes are idempotent, so a second subscription would
+        only repeat work.  (Not in ``__init__``: a wakeup before the
+        first site exists would shift the simulator's event sequence
+        numbers.)"""
+        if not self._ns_subscribed:
+            self._ns_subscribed = True
+            self.nameservice.subscribe(self._on_ns_update)
+
     def _on_ns_update(self) -> None:
-        for site in self.sites.values():
+        for site in self.pool():
             site.on_nameservice_update()
         self.on_work_available()
 
@@ -272,10 +294,10 @@ class Node:
         try:
             moved = self.tycod.pump()
             executed = 0
-            nsites = len(self.sites)
-            if nsites:
-                per_site = max(1, quantum // nsites)
-                for site in list(self.sites.values()):
+            pool = self.pool()
+            if pool:
+                per_site = max(1, quantum // len(pool))
+                for site in pool:
                     executed += site.step(per_site)
             if self.distgc and self.sites:
                 # Sweep before the closing pump so renew/drop/claim
@@ -283,7 +305,7 @@ class Node:
                 now = self.now()
                 if now >= self._next_sweep:
                     self._next_sweep = now + self._gc_sweep_s
-                    for site in list(self.sites.values()):
+                    for site in self.pool():
                         site.run_distgc(now)
             if self.mobility is not None:
                 moved += self.mobility.process_inbox()
@@ -293,7 +315,7 @@ class Node:
             self._in_step = False
             self.flush_batches()
         switches = sum(s.vm.runqueue.context_switches
-                       for s in self.sites.values())
+                       for s in self.pool())
         delta_switches = switches - self._switches_seen
         self._switches_seen = switches
         return NodeStepReport(instructions=executed,
@@ -306,7 +328,7 @@ class Node:
         runs the distributed GC (non-GC behaviour stays untouched)."""
         if not self.distgc:
             return
-        for site in list(self.sites.values()):
+        for site in self.pool():
             site.on_peer_suspected(ip)
         self.on_work_available()
 
@@ -324,7 +346,7 @@ class Node:
         FETCH_REPLY finds no pending entry and installed code is
         content-addressed.
         """
-        for site in list(self.sites.values()):
+        for site in self.pool():
             if site._pending_code or site._pending_fetch:
                 site.on_restart()
         self.on_work_available()
@@ -335,7 +357,7 @@ class Node:
         state.  Carried in the socket transport's handshake so peers
         can observe that a reconnecting node re-drove its requests."""
         total = 0
-        for site in self.sites.values():
+        for site in self.pool():
             if site.codecache is not None:
                 total += site.codecache.generation
         return total
@@ -346,7 +368,7 @@ class Node:
         what generation-based cache invalidation clears)."""
         self._batch_buf.clear()
         self._batch_size.clear()
-        for site in list(self.sites.values()):
+        for site in self.pool():
             site.on_restart()
         if self.mobility is not None:
             self.mobility.on_restart()
@@ -358,7 +380,7 @@ class Node:
             return True
         return bool(self._batch_buf) or any(
             not site.vm.is_idle() or site.incoming or site.outgoing
-            for site in self.sites.values()
+            for site in self.pool()
         )
 
     def is_quiescent(self) -> bool:
@@ -369,13 +391,13 @@ class Node:
             site.vm.is_idle() and not site.incoming and not site.outgoing
             and not site.vm.has_stalled() and not site._pending_fetch
             and not site._pending_code
-            for site in self.sites.values()
+            for site in self.pool()
         )
 
     # -- aggregate statistics -----------------------------------------------------------
 
     def total_instructions(self) -> int:
-        return sum(s.vm.stats.instructions for s in self.sites.values())
+        return sum(s.vm.stats.instructions for s in self.pool())
 
     def total_reductions(self) -> int:
-        return sum(s.vm.stats.reductions for s in self.sites.values())
+        return sum(s.vm.stats.reductions for s in self.pool())

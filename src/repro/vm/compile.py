@@ -669,11 +669,22 @@ def compiled_source(program: Program, block_id: int) -> str:
 #: ``block_id`` has identical instructions (and identical method
 #: tables for any objects it ships) can share one function.  This
 #: makes recompiling a program from the same source (every benchmark
-#: repeat, every site booting the same workload) skip ``exec``
+#: repeat, every site booting the same workload) skip codegen
 #: entirely.  Keys are pure content, so the memo can never go stale:
 #: a peephole rewrite or a relinked bundle changes the key.
 _MEMO: dict = {}
 _MEMO_CAP = 1024
+
+#: Code objects shared by blocks of the same *shape*.  Literals reach
+#: the generated function only as bound ``_c<n>`` defaults, never as
+#: source text, so the source depends on the block's shape alone (its
+#: literal types, which literals are equal, its labels, block ids and
+#: objects).  Blocks that differ only in literal values -- every op of
+#: a workload launching the same program with fresh arguments -- miss
+#: ``_MEMO`` but hit here: codegen reruns, ``compile()`` does not, and
+#: ``exec`` binds the new values into a new function around the shared
+#: code.  Values: (code object, the one canonical source string).
+_CODE: dict = {}
 
 
 def _memo_key(program: Program, block_id: int, block: CodeBlock):
@@ -710,8 +721,13 @@ def compile_block(program: Program, block_id: int, block: CodeBlock):
         return fn
     gen = _Codegen(program, block_id, block)
     src = gen.generate()
+    shared = _CODE.get((block.name, src))
+    if shared is None:
+        shared = (compile(src, f"<compiled {block.name}>", "exec"), src)
+        if len(_CODE) < _MEMO_CAP:
+            _CODE[(block.name, src)] = shared
+    code, src = shared
     namespace = dict(gen.bindings)
-    code = compile(src, f"<compiled {block.name}>", "exec")
     exec(code, namespace)
     fn = namespace["_compiled_block"]
     fn.source = src

@@ -367,7 +367,7 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
                               flight_dump=flight_dump,
                               slo_breaches=slo_breaches)
     finally:
-        if world == "socket":
+        if world != "sim":
             net.world.shutdown()
 
 

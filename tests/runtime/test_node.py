@@ -1,5 +1,8 @@
 """Unit tests for nodes and the TyCOd/TyCOi daemons."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.compiler import compile_source
@@ -138,6 +141,61 @@ class TestTyCOi:
         # The site with a live queue survives.
         assert any(s.site_name == "waiting" for s in node.sites.values())
 
+    def test_reap_frees_the_site(self):
+        net = DiTyCONetwork()
+        net.add_node("n1")
+        net.launch("n1", "done", "print![1]")
+        net.launch("n1", "waiting", "new x x![1]")  # queues forever
+        net.run()
+        node = net.node("n1")
+        ref = weakref.ref(net.site("done"))
+        assert node.tycoi.reap() == 1
+        gc.collect()
+        assert ref() is None
+        assert "done" not in node.sites_by_name
+        with pytest.raises(KeyError):
+            net.site("done")
+        assert net.site("waiting").site_name == "waiting"
+        # Names are never reused: the SiteTable row stays.
+        assert net.nameservice.lookup_site("done").ip == "n1"
+
+    def test_reap_after_round_trip_migration_frees_every_incarnation(self):
+        net = DiTyCONetwork()
+        net.add_nodes(["n1", "n2"])
+        net.launch("n1", "hop", "new x (x![1] | x?(w) = print![w])")
+        net.launch("n1", "keep", "new x x![1]")
+        net.run()
+        first = weakref.ref(net.site("hop"))
+        net.migrate("hop", "n2")
+        net.run()
+        away = weakref.ref(net.site("hop"))
+        net.migrate("hop", "n1")
+        net.run()
+        home = net.node("n1").sites_by_name["hop"]
+        assert home.ip == "n1" and home.output == [1]
+        # The node it visited holds nothing to reap any more.
+        assert net.node("n2").tycoi.reap() == 0
+        assert net.node("n1").sites_by_name["hop"] is home
+        del home
+        assert net.node("n1").tycoi.reap() == 1
+        gc.collect()
+        assert first() is None and away() is None
+        assert "hop" not in net.node("n1").sites_by_name
+        assert net.site("keep").ip == "n1"
+
+    def test_reap_keeps_a_namesake_name_entry(self):
+        # Reaping a site drops its name entry only while that entry
+        # names the reaped object, not another one bound to the name.
+        node, _, _ = bare_node()
+        reaped = node.create_site("s", compile_source("print![1]"))
+        node.step()
+        namesake = node.create_site("s2", compile_source("new x x![1]"))
+        node.sites_by_name["s"] = namesake
+        node.step()
+        assert node.tycoi.reap() == 1
+        assert reaped.site_id not in node.sites
+        assert node.sites_by_name["s"] is namesake
+
     def test_typechecking_node_rejects_bad_source(self):
         from repro.types import TycoTypeError
 
@@ -146,6 +204,26 @@ class TestTyCOi:
         node.attach_transport(lambda *a: None)
         with pytest.raises(TycoTypeError):
             node.tycoi.submit("bad", "new x (x![true] | x?(n) = y![n + 1])")
+
+
+class TestNameServiceFanOut:
+    def test_one_subscription_per_node_and_one_wakeup_per_site(self,
+                                                                monkeypatch):
+        from repro.runtime.site import Site
+
+        net = DiTyCONetwork()
+        net.add_nodes(["n1", "n2"])
+        for i in range(12):
+            net.launch(f"n{i % 2 + 1}", f"s{i}", "new x x![1]")
+        net.run()
+        assert len(net.nameservice._subscribers) == 2
+        calls = []
+        monkeypatch.setattr(Site, "on_nameservice_update",
+                            lambda site: calls.append(site.site_name))
+        net.nameservice.register_site("probe", "n1")
+        live = [s.site_name for node in net.world.nodes.values()
+                for s in node.sites.values()]
+        assert sorted(calls) == sorted(live)
 
 
 class TestQuiescence:

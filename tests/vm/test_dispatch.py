@@ -367,6 +367,54 @@ class TestCompiledCache:
             out.append(vm.output[0])
         assert out == [3, 3.5]
 
+    @staticmethod
+    def run_compiled(src):
+        """Output and block 0's compiled function (the literal's block
+        in every program below)."""
+        prog = compile_source(src)
+        vm = TycoVM(prog, engine="compiled")
+        vm.boot()
+        vm.run(1000)
+        return vm.output, prog.decoded_cache[0].compiled
+
+    def test_literal_values_share_one_code_object(self):
+        # Literals are bound names in the generated source, so blocks
+        # differing only in a literal's value miss the value-keyed memo
+        # but share one code object, each with its own bound values.
+        out1, fn1 = self.run_compiled("def F(n) = print![n + 1] in F[2]")
+        out2, fn2 = self.run_compiled("def F(n) = print![n + 5] in F[2]")
+        assert fn1 is not fn2
+        assert fn1.__code__ is fn2.__code__
+        assert fn1.source is fn2.source
+        assert (out1, out2) == ([3], [7])
+
+    def test_literal_types_that_change_codegen_get_their_own_code(self):
+        # An int literal elides its operand type check from the inlined
+        # int arithmetic; a float or bool literal cannot.
+        outs, codes = [], []
+        for lit in ("1", "1.0", "true"):
+            prog = compile_source(f"def F(n) = print![n + {lit}] in F[2]")
+            vm = TycoVM(prog, engine="compiled")
+            vm.boot()
+            try:
+                vm.run(1000)
+            except VMRuntimeError as err:
+                outs.append(str(err))
+            else:
+                outs.append(vm.output)
+            codes.append(prog.decoded_cache[0].compiled.__code__)
+        assert codes[0] is not codes[1]
+        assert codes[0] is not codes[2]
+        assert outs == [[3], [3.0], "vm: arithmetic on booleans"]
+
+    def test_dedupe_pattern_is_part_of_the_shape(self):
+        # Equal literals in one block bind one name: [5, 5] and [5, 6]
+        # generate different sources, hence different code.
+        out_same, fn_same = self.run_compiled("print![5, 5]")
+        out_diff, fn_diff = self.run_compiled("print![5, 6]")
+        assert fn_same.__code__ is not fn_diff.__code__
+        assert (out_same, out_diff) == ([5, 5], [5, 6])
+
     def test_link_bundle_keeps_compiled_entries(self):
         donor = compile_source(COUNTER)
         prog = compile_source("print![7]")
