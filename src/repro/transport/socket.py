@@ -45,8 +45,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.node import Node
 
-from .base import World
 from .clock import monotime
+from .wallclock import WallClockWorld
 
 MAGIC = b"DTCO"
 #: Version of the stream protocol (framing + handshake layout).  The
@@ -67,6 +67,10 @@ _ACK = struct.Struct(">4sBB")         # magic, status, version
 ACK_OK = 0
 ACK_BAD_VERSION = 1
 ACK_BAD_MAGIC = 2
+
+#: Gap between the stable observations that stand in for exact
+#: accounting under the chaos proxy or after an unclean drop.
+_STABLE_GAP_S = 0.005
 
 
 def encode_record(payload: bytes) -> bytes:
@@ -374,16 +378,14 @@ class SocketEndpoint:
         dead-letters the record if the link was rejected or closed."""
         link = self._link(dst_ip)
         if link.state in ("rejected", "closed"):
-            link.dropped += 1
-            self.records_dropped += 1
+            self._count_dropped(link, 1)
             return
         if not link.sem.acquire(blocking=False):
             with self.stats_lock:
                 self.stats.backpressure_waits += 1
             while not link.sem.acquire(timeout=0.05):
                 if self._closed or link.state in ("rejected", "closed"):
-                    link.dropped += 1
-                    self.records_dropped += 1
+                    self._count_dropped(link, 1)
                     return
         with self._links_lock:
             link.queue.append(data)
@@ -528,8 +530,14 @@ class SocketEndpoint:
             link.queue.clear()
         for _ in range(dropped):
             link.sem.release()
-        link.dropped += dropped
-        self.records_dropped += dropped
+        self._count_dropped(link, dropped)
+
+    def _count_dropped(self, link: _Link, count: int) -> None:
+        # Node threads and the loop thread both dead-letter, and the
+        # world's exact quiescence check reads the total: lock it.
+        with self.stats_lock:
+            link.dropped += count
+            self.records_dropped += count
 
     # -- inbound -------------------------------------------------------------
 
@@ -577,10 +585,11 @@ class SocketEndpoint:
             writer.close()
 
 
-class SocketWorld(World):
+class SocketWorld(WallClockWorld):
     """The full network over real TCP, one process: node stepping
-    threads (as in :class:`~repro.transport.threaded.ThreadedWorld`)
-    plus one asyncio loop thread owning every :class:`SocketEndpoint`.
+    threads (the scheduler of :mod:`repro.transport.wallclock`, as in
+    :class:`~repro.transport.threaded.ThreadedWorld`) plus one asyncio
+    loop thread owning every :class:`SocketEndpoint`.
 
     ``proxy`` (a :class:`~repro.testkit.proxy.ChaosProxy`) interposes
     a fault-injecting TCP relay on every link; the world then mirrors
@@ -590,9 +599,9 @@ class SocketWorld(World):
     against real sockets.
     """
 
-    wall_clock = True
+    _thread_prefix = "dityco-socket"
 
-    def __init__(self, quantum: int = 512, idle_wait_s: float = 0.001,
+    def __init__(self, quantum: int = 512,
                  host: str = "127.0.0.1",
                  rate_limit: Optional[float] = None,
                  burst: float = 64.0,
@@ -600,9 +609,7 @@ class SocketWorld(World):
                  version: int = WIRE_VERSION,
                  backoff_base: float = 0.05,
                  backoff_cap: float = 1.0) -> None:
-        super().__init__()
-        self.quantum = quantum
-        self.idle_wait_s = idle_wait_s
+        super().__init__(quantum)
         self.host = host
         self.rate_limit = rate_limit
         self.burst = burst
@@ -614,14 +621,6 @@ class SocketWorld(World):
         self.proxy = None
         self._endpoints: dict[str, SocketEndpoint] = {}
         self._addrs: dict[str, tuple[str, int]] = {}
-        self._threads: dict[str, threading.Thread] = {}
-        self._wake_events: dict[str, threading.Event] = {}
-        self._recv_locks: dict[str, threading.Lock] = {}
-        self._generations: dict[str, int] = {}
-        self._busy: dict[str, bool] = {}
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._started = False
         self.records_sent = 0
         self.records_delivered = 0
         #: Peers whose links suffered an unclean drop -- the socket
@@ -631,21 +630,9 @@ class SocketWorld(World):
 
     # -- world interface -----------------------------------------------------
 
-    @property
-    def time(self) -> float:
-        return monotime()
-
     def add_node(self, node: "Node") -> None:
-        if self._started:
-            raise RuntimeError("cannot add nodes after start")
-        if node.ip in self.nodes:
-            raise ValueError(f"duplicate node ip {node.ip}")
-        self.nodes[node.ip] = node
-        self._wake_events[node.ip] = threading.Event()
-        self._recv_locks[node.ip] = threading.Lock()
-        self._generations[node.ip] = 0
-        self._busy[node.ip] = True
-        endpoint = SocketEndpoint(
+        super().add_node(node)
+        self._endpoints[node.ip] = SocketEndpoint(
             node.ip, deliver=self._deliver,
             resolve=lambda dst, src=node.ip: self._resolve(src, dst),
             loop=self.io, stats=self.stats, stats_lock=self._lock,
@@ -657,11 +644,6 @@ class SocketWorld(World):
             rate_limit=self.rate_limit, burst=self.burst,
             queue_limit=self.queue_limit,
             backoff_base=self.backoff_base, backoff_cap=self.backoff_cap)
-        self._endpoints[node.ip] = endpoint
-        node.attach_transport(self._send,
-                              wakeup=lambda ip=node.ip: self._wake(ip),
-                              clock=monotime)
-        node.attach_obs(self.obs)
 
     def use_proxy(self, proxy) -> None:
         """Route every link through a chaos relay (before :meth:`start`)."""
@@ -677,11 +659,6 @@ class SocketWorld(World):
         (the ``load`` control command and ``repro obs top`` read it)."""
         return {ip: endpoint.queue_depths()
                 for ip, endpoint in sorted(self._endpoints.items())}
-
-    def _wake(self, ip: str) -> None:
-        ev = self._wake_events.get(ip)
-        if ev is not None:
-            ev.set()
 
     def _resolve(self, src_ip: str, dst_ip: str) -> tuple[str, int]:
         if self.proxy is not None:
@@ -707,13 +684,18 @@ class SocketWorld(World):
         self._endpoints[src_ip].send(dst_ip, data)
 
     def _deliver(self, src_ip: str, dst_ip: str, data: bytes) -> None:
-        """A record arrived at ``dst_ip``'s endpoint (loop thread)."""
+        """A record arrived at ``dst_ip``'s endpoint (loop thread).
+        The destination turns busy in the same locked step that counts
+        the record delivered: the exact quiescence check never sees it
+        counted while its destination looks idle (a mobility control
+        packet wakes no site)."""
         dst = self.nodes[dst_ip]
         with self._recv_locks[dst_ip]:
             dst.receive(data)
         with self._lock:
             self.records_delivered += 1
             self._generations[dst_ip] += 1
+            self._busy[dst_ip] = True
         self.trace("deliver", src_ip, dst_ip, len(data))
         self._wake(dst_ip)
 
@@ -742,42 +724,18 @@ class SocketWorld(World):
     def start(self) -> None:
         if self._started:
             return
-        self._started = True
         self.io.start()
         for ip, endpoint in self._endpoints.items():
             port = endpoint.start()
             self._addrs[ip] = (self.host, port)
         if self.proxy is not None:
             self.proxy.start(self.io, dict(self._addrs))
-        for ip, node in self.nodes.items():
-            t = threading.Thread(target=self._node_loop, args=(ip, node),
-                                 name=f"dityco-socket-{ip}", daemon=True)
-            self._threads[ip] = t
-            t.start()
-
-    def _node_loop(self, ip: str, node: "Node") -> None:
-        ev = self._wake_events[ip]
-        while not self._stop.is_set():
-            report = node.step(self.quantum)
-            if report.busy:
-                with self._lock:
-                    self._generations[ip] += 1
-                    self._busy[ip] = True
-                continue
-            with self._lock:
-                self._busy[ip] = False
-            ev.wait(self.idle_wait_s)
-            ev.clear()
+        super().start()
 
     def shutdown(self) -> None:
         """Stop node threads, endpoints, proxy and the IO loop
         (idempotent)."""
-        self._stop.set()
-        for ev in self._wake_events.values():
-            ev.set()
-        for t in self._threads.values():
-            t.join(timeout=2.0)
-        self._threads.clear()
+        super().shutdown()
         for endpoint in self._endpoints.values():
             endpoint.close()
         if self.proxy is not None:
@@ -794,27 +752,53 @@ class SocketWorld(World):
             expected += self.proxy.duplicated_total
         return expected
 
+    def _accounted(self) -> bool:
+        # After an unclean drop records may have died in a kernel
+        # buffer, so the counts never close again.
+        return (bool(self.crashed_ever)
+                or self.records_delivered == self._expected_deliveries())
+
+    def _links_idle(self) -> bool:
+        return all(e.links_idle() for e in self._endpoints.values())
+
     def _snapshot(self):
         with self._lock:
             gens = dict(self._generations)
             busy = any(self._busy.values())
             sent = self.records_sent
             delivered = self.records_delivered
-        links_idle = all(e.links_idle() for e in self._endpoints.values())
+            accounted = self._accounted()
         proxy_pending = 0 if self.proxy is None else self.proxy.pending()
-        quiet = (not busy and links_idle and proxy_pending == 0
+        quiet = (not busy and accounted and proxy_pending == 0
+                 and self._links_idle()
                  and not any(n.has_work() for n in self.nodes.values()))
-        if not self.crashed_ever:
-            # No unclean drop ever: accounting must close exactly.
-            quiet = quiet and delivered == self._expected_deliveries()
         fingerprint = (tuple(sorted(gens.items())), sent, delivered,
                        proxy_pending,
                        None if self.proxy is None else
                        self.proxy.fingerprint())
         return quiet, fingerprint
 
+    def _settled(self) -> bool:
+        if self.proxy is None and not self.crashed_ever:
+            return self._links_idle()
+        # The accounting alone cannot prove the wire drained (relay
+        # state lives in the proxy; a reset may have eaten records):
+        # demand identical quiet fingerprints on consecutive
+        # observations, three after an unclean drop.
+        last = None
+        for _ in range(3 if self.crashed_ever else 2):
+            if last is not None:
+                _time.sleep(_STABLE_GAP_S)
+            quiet, fingerprint = self._snapshot()
+            if not quiet or (last is not None and fingerprint != last):
+                return False
+            last = fingerprint
+        return True
+
     def run(self, max_time: float | None = None) -> float:
-        """Start (if needed) and wait for stable global inactivity.
+        """Start (if needed) and wait for global inactivity: no node
+        busy, every record delivered or accounted dropped, every link
+        idle (see :mod:`repro.transport.wallclock`).
 
         Unlike the threaded world this does *not* require strict
         :meth:`Node.is_quiescent`: a site parked on an unanswerable
@@ -822,30 +806,7 @@ class SocketWorld(World):
         end in that state (the chaos corpus observes it).  Use
         :meth:`is_quiescent` to assert the strict notion afterwards.
         """
-        self.start()
-        deadline = None if max_time is None else monotime() + max_time
-        start = monotime()
-        # After an unclean drop the accounting can no longer prove the
-        # wire is drained, so demand one extra stable observation.
-        while True:
-            needed = 3 if self.crashed_ever else 2
-            stable = 0
-            last = None
-            while stable < needed:
-                quiet, fingerprint = self._snapshot()
-                if not quiet:
-                    break
-                if last is not None and fingerprint != last:
-                    break
-                last = fingerprint
-                stable += 1
-                if stable < needed:
-                    _time.sleep(max(self.idle_wait_s, 0.005))
-            if stable >= needed:
-                return monotime() - start
-            if deadline is not None and monotime() > deadline:
-                raise TimeoutError("network did not reach quiescence")
-            _time.sleep(self.idle_wait_s)
+        return self._await_quiet(max_time, self._settled)
 
     # -- chaos-checker surface (mirrors ChaosWorld) --------------------------
 
