@@ -263,15 +263,15 @@ class Compiler:
 
     def _free_vars_of(self, p: Process, ctx: _Ctx) -> tuple[list[Name], list[ClassVar]]:
         """Variables of ``p`` that must be captured from ``ctx``."""
-        fns = [n for n in sorted(free_names(p), key=lambda n: n.serial)
-               if n in ctx.names]
+        free = free_names(p)
         # Anything free but unknown to the context is a genuine error --
         # external names were pre-bound in the main context and inner
         # contexts inherit captures explicitly.
-        unknown = [n for n in free_names(p) if n not in ctx.names]
+        unknown = [n for n in free if n not in ctx.names]
         if unknown:
             raise CompileError(f"unbound name(s) {unknown} in nested block")
-        fcs = [c for c in sorted(free_classvars(p), key=lambda c: c.serial)]
+        fns = sorted(free, key=lambda n: n.serial)
+        fcs = sorted(free_classvars(p), key=lambda c: c.serial)
         missing = [c for c in fcs if c not in ctx.classes]
         if missing:
             raise CompileError(f"unbound class variable(s) {missing}")

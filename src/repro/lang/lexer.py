@@ -18,12 +18,26 @@ Tokens:
   ``+ - * / % < <= > >= == != or``.
 
 Comments run from ``--`` or ``//`` to end of line.
+
+The whole lexer is one compiled regular expression, :data:`_TOKEN`,
+matched at the current position by ``finditer``.  Its alternatives,
+tried in order, are trivia (blanks and comments), a word, a number, a
+string, a punctuator (two-character operators first) and, last, any
+other character, which is an error.  Lines and columns come from the
+offset of the current line's start, which only trivia holding a
+newline moves.  Identifiers are Unicode: the first character must be
+``isalpha()`` or ``_`` (the regex admits a few more, numeric ones, so
+it is re-checked), later ones ``isalnum()``, ``_`` or ``'``.  Numbers
+are ASCII-only.  A ``LexError`` names the unexpected character, an
+unterminated string at its opening quote, or a bad escape at its
+backslash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -42,20 +56,8 @@ KEYWORDS = {
     "export", "import", "from", "not", "or", "true", "false",
 }
 
-# ASCII-only digits: str.isdigit() accepts Unicode digits (e.g. '\u00b2')
-# that int() rejects, so the lexer must not use it.
-_ASCII_DIGITS = frozenset("0123456789")
 
-# Multi-character punctuation first so the lexer is greedy.
-PUNCTUATION = [
-    "<=", ">=", "==", "!=",
-    "!", "?", "[", "]", "(", ")", "{", "}", ",", "=", "|", ".",
-    "+", "-", "*", "/", "%", "<", ">",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -75,139 +77,94 @@ class LexError(Exception):
         self.column = column
 
 
+# One group per alternative, numbered for ``match.lastindex``; every
+# position matches one, the last being any character the language lacks.
+# A string matches up to its first bad character, so an empty group 5
+# (no closing quote) sends it to the error path.
+_TOKEN = re.compile(
+    r"([ \t\r\n]+|--[^\n]*|//[^\n]*)"                # 1 trivia
+    r"|([^\W\d][\w']*)"                               # 2 word
+    r"|([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"     # 3 number
+    r"""|("(?:[^"\\\n]|\\[ntr"\\0])*("?))"""          # 4 string, 5 close
+    r"|([<>=!]=|[!?\[\](){},=|.+\-*/%<>])"           # 6 punctuation
+    r"|(.)", re.DOTALL)                               # 7 error
+_TRIVIA, _WORD, _NUMBER, _STRING, _CLOSE, _PUNCT = 1, 2, 3, 4, 5, 6
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0"}
+_ESCAPE = re.compile(r"\\(.)")
+
+_KEYWORD_VALUES = {**dict.fromkeys(KEYWORDS), "true": True, "false": False}
+# Builds a Token without the NamedTuple ``__new__`` wrapper call.
+_new = tuple.__new__
+
+
 class Lexer:
-    """Streaming tokenizer with one-token-at-a-time interface."""
+    """Tokenizer for one source text."""
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
     def tokens(self) -> list[Token]:
         """Tokenize the whole input (EOF token included)."""
-        out = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
-
-    # -- internals ---------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
+        src = self.source
+        keywords = _KEYWORD_VALUES
+        IDENT, CLASSID, KEYWORD, PUNCT = (TokenKind.IDENT, TokenKind.CLASSID,
+                                          TokenKind.KEYWORD, TokenKind.PUNCT)
+        out: list[Token] = []
+        append = out.append
+        line, line_start = 1, 0
+        for m in _TOKEN.finditer(src):
+            group = m.lastindex
+            if group == _TRIVIA:
+                text = m[_TRIVIA]
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = m.start() + text.rindex("\n") + 1
+                continue
+            column = m.start() - line_start + 1
+            if group == _PUNCT:
+                append(_new(Token, (PUNCT, m[_PUNCT], line, column, None)))
+            elif group == _WORD:
+                text = m[_WORD]
+                if text in keywords:
+                    append(_new(Token, (KEYWORD, text, line, column,
+                                        keywords[text])))
+                elif text[0].isalpha() or text[0] == "_":
+                    kind = CLASSID if text[0].isupper() else IDENT
+                    append(_new(Token, (kind, text, line, column, None)))
                 else:
-                    self.column += 1
-                self.pos += 1
+                    raise LexError(f"unexpected character {text[0]!r}",
+                                   line, column)
+            elif group == _NUMBER:
+                append(_number_token(m[_NUMBER], line, column))
+            elif group == _STRING:
+                append(_string_token(m, line, column, line_start))
+            else:
+                raise LexError(f"unexpected character {m[0]!r}", line, column)
+        append(Token(TokenKind.EOF, "", line, len(src) - line_start + 1))
+        return out
 
-    def _skip_trivia(self) -> None:
-        while True:
-            c = self._peek()
-            if not c:
-                return
-            if c in " \t\r\n":
-                self._advance()
-                continue
-            if c == "-" and self._peek(1) == "-":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-                continue
-            if c == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-                continue
-            return
 
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        c = self._peek()
-        if not c:
-            return Token(TokenKind.EOF, "", line, column)
+def _number_token(text: str, line: int, column: int) -> Token:
+    if not text.isdigit():
+        return Token(TokenKind.FLOAT, text, line, column, float(text))
+    try:
+        value = int(text)
+    except ValueError:  # over the interpreter's integer digit limit
+        raise LexError("integer literal too long", line, column) from None
+    return Token(TokenKind.INT, text, line, column, value)
 
-        if c.isalpha() or c == "_":
-            start = self.pos
-            while True:
-                ch = self._peek()
-                if not ch or not (ch.isalnum() or ch in "_'"):
-                    break
-                self._advance()
-            text = self.source[start:self.pos]
-            if text in ("true", "false"):
-                return Token(TokenKind.KEYWORD, text, line, column,
-                             value=(text == "true"))
-            if text in KEYWORDS:
-                return Token(TokenKind.KEYWORD, text, line, column)
-            kind = TokenKind.CLASSID if text[0].isupper() else TokenKind.IDENT
-            return Token(kind, text, line, column)
 
-        if c in _ASCII_DIGITS:
-            return self._number(line, column)
-
-        if c == '"':
-            return self._string(line, column)
-
-        for p in PUNCTUATION:
-            if self.source.startswith(p, self.pos):
-                self._advance(len(p))
-                return Token(TokenKind.PUNCT, p, line, column)
-
-        raise LexError(f"unexpected character {c!r}", line, column)
-
-    def _number(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek() in _ASCII_DIGITS:
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1) in _ASCII_DIGITS:
-            is_float = True
-            self._advance()
-            while self._peek() in _ASCII_DIGITS:
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1) in _ASCII_DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _ASCII_DIGITS)
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek() in _ASCII_DIGITS:
-                self._advance()
-        text = self.source[start:self.pos]
-        if is_float:
-            return Token(TokenKind.FLOAT, text, line, column, value=float(text))
-        return Token(TokenKind.INT, text, line, column, value=int(text))
-
-    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0"}
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            c = self._peek()
-            if not c or c == "\n":
-                raise LexError("unterminated string literal", line, column)
-            if c == '"':
-                self._advance()
-                text = '"' + "".join(chars) + '"'
-                return Token(TokenKind.STRING, text, line, column,
-                             value="".join(chars))
-            if c == "\\":
-                esc = self._peek(1)
-                if esc not in self._ESCAPES:
-                    raise LexError(f"bad escape \\{esc}", self.line, self.column)
-                chars.append(self._ESCAPES[esc])
-                self._advance(2)
-                continue
-            chars.append(c)
-            self._advance()
+def _string_token(m: re.Match, line: int, column: int,
+                  line_start: int) -> Token:
+    stop = m.end()
+    if not m[_CLOSE]:
+        src = m.string
+        if src.startswith("\\", stop):
+            raise LexError(f"bad escape \\{src[stop + 1:stop + 2]}",
+                           line, stop - line_start + 1)
+        raise LexError("unterminated string literal", line, column)
+    body = m[_STRING][1:-1]
+    if "\\" in body:
+        body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
+    return Token(TokenKind.STRING, f'"{body}"', line, column, body)

@@ -127,15 +127,17 @@ class Parser:
     """One-pass parser producing core terms (sugar already expanded)."""
 
     def __init__(self, source: str) -> None:
-        self.tokens = Lexer(source).tokens()
+        # A second EOF lets ``_peek(1)`` on the last token index unclamped.
+        tokens = Lexer(source).tokens()
+        tokens.append(tokens[-1])
+        self.tokens = tokens
         self.index = 0
         self.free_names: dict[str, Name] = {}
 
     # -- token helpers -----------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.index + offset]
 
     def _next(self) -> Token:
         tok = self.tokens[self.index]
@@ -144,11 +146,11 @@ class Parser:
         return tok
 
     def _at_punct(self, text: str) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.index]
         return tok.kind is TokenKind.PUNCT and tok.text == text
 
     def _at_keyword(self, text: str) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.index]
         return tok.kind is TokenKind.KEYWORD and tok.text == text
 
     def _expect_punct(self, text: str) -> Token:

@@ -238,7 +238,12 @@ class LoopThread:
         return fut.result(timeout)
 
     def stop(self, timeout: float = 5.0) -> None:
-        if not self._started or not self._thread.is_alive():
+        if not self._started:
+            # The loop never ran, so ``_run`` will not close it (nor its
+            # self-pipe sockets): close it here.
+            self.loop.close()
+            return
+        if not self._thread.is_alive():
             return
         self.loop.call_soon_threadsafe(self.loop.stop)
         self._thread.join(timeout)

@@ -1,8 +1,10 @@
 """Unit tests for the DiTyCO lexer."""
 
+import sys
+
 import pytest
 
-from repro.lang import LexError, Lexer, TokenKind
+from repro.lang import LexError, Lexer, TokenKind, parse_program
 
 
 def lex(src):
@@ -68,6 +70,22 @@ class TestNumbers:
     def test_int_then_dot_method_not_float(self):
         toks = lex("1.x")  # int, dot, ident -- not a float
         assert [t.kind for t in toks] == [TokenKind.INT, TokenKind.PUNCT, TokenKind.IDENT]
+
+    def test_oversized_int_is_a_lex_error(self):
+        # int() refuses literals over the interpreter's digit limit;
+        # the lexer reports that at the literal, not as a ValueError.
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(LexError) as info:
+                lex("x![\n  " + "9" * 4301 + "]")
+            assert str(info.value) == "2:3: integer literal too long"
+            (tok,) = lex("9" * 4300)
+            assert tok.value == int("9" * 4300)
+            with pytest.raises(LexError):
+                parse_program("print![" + "1" * 100_000 + "]")
+        finally:
+            sys.set_int_max_str_digits(old_limit)
 
 
 class TestStrings:

@@ -7,8 +7,10 @@ restart, token-bucket throttling surfaced in TransportStats), and
 SocketWorld end-to-end runs with clean shutdown.
 """
 
+import gc
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -268,6 +270,20 @@ class TestSocketWorld:
                 world._send("a", "ghost", b"data")
         finally:
             world.shutdown()
+
+    def test_shutdown_of_a_never_started_world_closes_its_loop(self):
+        gc.collect()  # garbage left by earlier tests is not ours
+        world = SocketWorld()
+        io = world.io
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            world.shutdown()
+            closed = io.loop.is_closed()
+            del world, io
+            gc.collect()
+        assert closed
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_quiescence_timeout(self):
         world = SocketWorld()
